@@ -1,16 +1,19 @@
 //! The figure registry: every paper figure/table grid as a declarative
-//! [`SweepSpec`] campaign.
+//! [`SweepSpec`] campaign plus the paper tables rendered from its result.
 //!
-//! Both the harness binaries (`src/bin/`) and the `pythia-cli sweep`
-//! subcommand resolve grids from here, so the definition of "what Fig. 9
-//! runs" exists exactly once. A figure maps to one or more specs (panels);
-//! [`specs`] returns them and callers run them with
-//! [`pythia_sweep::run`] / [`pythia_sweep::engine::run_all`].
+//! `pythia-cli sweep <id>`, `pythia-serve` and the golden-report tests
+//! resolve grids from here, so the definition of "what Fig. 9 runs" and
+//! "what Fig. 9 prints" exists exactly once. A figure maps to one or more
+//! specs (panels); [`specs`] returns them, [`pythia_sweep::engine::run_all`]
+//! runs them as one campaign, and [`FigureDef::tables`] renders the merged
+//! result (multi-panel figures split it by the `sweep` column).
 
 use pythia_core::tuning::{exponential_grid, HyperPoint};
 use pythia_core::{ControlFlow, DataFlow, Feature, PythiaConfig};
 use pythia_sim::config::SystemConfig;
-use pythia_sweep::{ConfigPoint, SweepSpec, WorkUnit};
+use pythia_stats::metrics::geomean;
+use pythia_stats::report::{frac_pct, pct, Table};
+use pythia_sweep::{ConfigPoint, Key, RawSummary, SweepResult, SweepSpec, Value, WorkUnit};
 use pythia_workloads::profiles::{derive_seed, Profile, CAMPAIGN_SEED};
 use pythia_workloads::suites::cvp_unseen;
 use pythia_workloads::{all_suites, mixes, suite, PatternKind, Suite, TraceSpec, Workload};
@@ -106,6 +109,45 @@ pub fn feature_label(features: &[Feature]) -> String {
     parts.join(";")
 }
 
+/// One paper table under its `# heading`, followed by a blank line.
+fn section(heading: &str, table: &Table) -> String {
+    format!("# {heading}\n\n{}\n", table.to_markdown())
+}
+
+/// One panel of a multi-panel result (its cells and baselines).
+fn panel(r: &SweepResult, name: &str) -> SweepResult {
+    r.filter(|c| c.sweep == name)
+}
+
+/// Per-prefetcher geomean speedup, one row per prefetcher label.
+fn geomean_table(r: &SweepResult, label: &str) -> Table {
+    let mut t = Table::new(&[label, "geomean speedup"]);
+    for (variant, geo) in r.aggregate(Key::Prefetcher, Value::Speedup) {
+        t.row(&[variant, format!("{geo:.3}")]);
+    }
+    t
+}
+
+/// Per-suite (group) geomean speedup with a GEOMEAN row.
+fn per_suite(r: &SweepResult) -> Table {
+    r.pivot_with_total(Key::Group, Key::Prefetcher, Value::Speedup, Some("GEOMEAN"))
+}
+
+/// Geomean speedup per config point (the swept axis) and prefetcher.
+fn per_config(r: &SweepResult) -> Table {
+    r.pivot(Key::Config, Key::Prefetcher, Value::Speedup)
+}
+
+/// A `workload | basic | <variant> | gain` row, the Figs. 15/16 layout.
+fn gain_row(label: String, basic: f64, other: f64) -> Vec<String> {
+    vec![
+        label,
+        format!("{basic:.3}"),
+        format!("{other:.3}"),
+        format!("{:+.1}%", (other / basic - 1.0) * 100.0),
+    ]
+}
+
 fn fig01() -> Vec<SweepSpec> {
     vec![SweepSpec::new("fig01")
         .with_units(named_units(&[
@@ -120,11 +162,64 @@ fn fig01() -> Vec<SweepSpec> {
         .with_config(point("base", Budget::Headline))]
 }
 
+/// Fig. 1: coverage, overprediction and IPC improvement per workload.
+fn fig01_tables(r: &SweepResult) -> String {
+    let mut t = Table::new(&[
+        "workload",
+        "prefetcher",
+        "coverage",
+        "overprediction",
+        "IPC improvement",
+    ]);
+    // Cells arrive in grid order (workload-major), which is the table order.
+    for c in &r.cells {
+        t.row(&[
+            c.unit.clone(),
+            c.prefetcher.clone(),
+            frac_pct(c.metrics.coverage),
+            frac_pct(c.metrics.overprediction),
+            pct(c.metrics.speedup),
+        ]);
+    }
+    section(
+        "Fig. 1 — motivational coverage/overprediction/performance",
+        &t,
+    )
+}
+
 fn fig07() -> Vec<SweepSpec> {
     vec![SweepSpec::new("fig07")
         .with_suites(&FIVE_SUITES)
         .with_prefetchers(&HEADLINE_PREFETCHERS)
         .with_config(point("base", Budget::Headline))]
+}
+
+/// Fig. 7: baseline-MPKI-weighted coverage and overprediction per suite,
+/// plus the plain average over suites.
+fn fig07_tables(r: &SweepResult) -> String {
+    let mut t = Table::new(&["suite", "prefetcher", "coverage", "overprediction"]);
+    let mut avg: Vec<(Vec<f64>, Vec<f64>)> = vec![(vec![], vec![]); HEADLINE_PREFETCHERS.len()];
+    for s in &r.distinct(Key::Group) {
+        let per_suite = r.filter(|c| &c.group == s);
+        for (pi, p) in HEADLINE_PREFETCHERS.iter().enumerate() {
+            let (cov, over) = per_suite.weighted_coverage(p);
+            t.row(&[s.clone(), p.to_string(), frac_pct(cov), frac_pct(over)]);
+            avg[pi].0.push(cov);
+            avg[pi].1.push(over);
+        }
+    }
+    for (p, (covs, overs)) in HEADLINE_PREFETCHERS.iter().zip(&avg) {
+        t.row(&[
+            "AVG".into(),
+            p.to_string(),
+            frac_pct(covs.iter().sum::<f64>() / covs.len() as f64),
+            frac_pct(overs.iter().sum::<f64>() / overs.len() as f64),
+        ]);
+    }
+    section(
+        "Fig. 7 — coverage and overprediction per suite (single-core)",
+        &t,
+    )
 }
 
 fn fig08a() -> Vec<SweepSpec> {
@@ -147,6 +242,10 @@ fn fig08a() -> Vec<SweepSpec> {
                 ))
         })
         .collect()
+}
+
+fn fig08a_tables(r: &SweepResult) -> String {
+    section("Fig. 8(a) — speedup vs core count", &per_config(r))
 }
 
 fn fig08b() -> Vec<SweepSpec> {
@@ -173,6 +272,13 @@ fn fig08b() -> Vec<SweepSpec> {
         )]
 }
 
+fn fig08b_tables(r: &SweepResult) -> String {
+    section(
+        "Fig. 8(b) — speedup vs DRAM MTPS (single core, 1 channel)",
+        &per_config(r),
+    )
+}
+
 fn fig08c() -> Vec<SweepSpec> {
     let (w, m) = budget(Budget::Sweep);
     vec![SweepSpec::new("fig08c")
@@ -197,6 +303,13 @@ fn fig08c() -> Vec<SweepSpec> {
         }))]
 }
 
+fn fig08c_tables(r: &SweepResult) -> String {
+    section(
+        "Fig. 8(c) — speedup vs LLC size (single core)",
+        &per_config(r),
+    )
+}
+
 fn fig08d() -> Vec<SweepSpec> {
     vec![SweepSpec::new("fig08d")
         .with_units(named_units(&[
@@ -217,6 +330,13 @@ fn fig08d() -> Vec<SweepSpec> {
         )]
 }
 
+fn fig08d_tables(r: &SweepResult) -> String {
+    section(
+        "Fig. 8(d) — multi-level prefetching vs DRAM MTPS",
+        &per_config(r),
+    )
+}
+
 fn fig09() -> Vec<SweepSpec> {
     vec![
         SweepSpec::new("fig09a")
@@ -228,6 +348,16 @@ fn fig09() -> Vec<SweepSpec> {
             .with_prefetchers(&LADDER)
             .with_config(point("base", Budget::Headline)),
     ]
+}
+
+fn fig09_tables(r: &SweepResult) -> String {
+    section(
+        "Fig. 9(a) — single-core per-suite geomean speedup",
+        &per_suite(&panel(r, "fig09a")),
+    ) + &section(
+        "Fig. 9(b) — prefetcher-combination ladder (single-core)",
+        &geomean_table(&panel(r, "fig09b"), "configuration"),
+    )
 }
 
 fn fig10() -> Vec<SweepSpec> {
@@ -257,6 +387,16 @@ fn fig10() -> Vec<SweepSpec> {
     ]
 }
 
+fn fig10_tables(r: &SweepResult) -> String {
+    section(
+        "Fig. 10(a) — four-core per-suite geomean speedup (homogeneous mixes)",
+        &per_suite(&panel(r, "fig10a")),
+    ) + &section(
+        "Fig. 10(b) — combination ladder (four-core heterogeneous mixes)",
+        &geomean_table(&panel(r, "fig10b"), "configuration"),
+    )
+}
+
 fn fig11() -> Vec<SweepSpec> {
     vec![SweepSpec::new("fig11")
         .with_units(named_units(&[
@@ -276,6 +416,19 @@ fn fig11() -> Vec<SweepSpec> {
                 .iter()
                 .map(|&mtps| mtps_point(mtps, Budget::Sweep)),
         )]
+}
+
+/// Fig. 11: the baseline *is* basic Pythia, so every cell's speedup is the
+/// oblivious-vs-basic ratio directly.
+fn fig11_tables(r: &SweepResult) -> String {
+    let mut t = Table::new(&["MTPS", "oblivious vs basic (%)"]);
+    for (mtps, geo) in r.aggregate(Key::Config, Value::Speedup) {
+        t.row(&[mtps, format!("{:+.2}%", (geo - 1.0) * 100.0)]);
+    }
+    section(
+        "Fig. 11 — bandwidth-oblivious Pythia normalized to basic Pythia",
+        &t,
+    )
 }
 
 /// Category of an unseen CVP-2-like trace (`"crypto-1"` → `"crypto"`).
@@ -314,6 +467,16 @@ fn fig12() -> Vec<SweepSpec> {
     ]
 }
 
+fn fig12_tables(r: &SweepResult) -> String {
+    section(
+        "Fig. 12(a) — unseen traces, single-core",
+        &per_suite(&panel(r, "fig12a")),
+    ) + &section(
+        "Fig. 12(b) — unseen traces, four-core (homogeneous mixes)",
+        &panel(r, "fig12b").pivot(Key::Group, Key::Prefetcher, Value::Speedup),
+    )
+}
+
 fn fig14() -> Vec<SweepSpec> {
     vec![SweepSpec::new("fig14")
         .with_units(named_units(&["Ligra-CC"]))
@@ -321,11 +484,64 @@ fn fig14() -> Vec<SweepSpec> {
         .with_config(point("base", Budget::Sweep))]
 }
 
+/// Fig. 14: share of DRAM-bandwidth windows per utilization bucket and the
+/// IPC improvement, for the baseline and every prefetcher.
+fn fig14_tables(r: &SweepResult) -> String {
+    let bucket_row = |label: &str, raw: &RawSummary, speedup: String| -> Vec<String> {
+        let b = raw.bw_bucket_windows;
+        let total: u64 = b.iter().sum::<u64>().max(1);
+        let mut row = vec![label.to_string()];
+        row.extend(
+            b.iter()
+                .map(|x| format!("{:.0}%", *x as f64 * 100.0 / total as f64)),
+        );
+        row.push(speedup);
+        row
+    };
+    let mut t = Table::new(&[
+        "config",
+        "<25%",
+        "25-50%",
+        "50-75%",
+        ">=75%",
+        "IPC improvement",
+    ]);
+    t.row(&bucket_row("baseline", &r.baselines[0].raw, "+0.0%".into()));
+    for c in &r.cells {
+        t.row(&bucket_row(&c.prefetcher, &c.raw, pct(c.metrics.speedup)));
+    }
+    section(
+        "Fig. 14 — Ligra-CC bandwidth-bucket residency and performance",
+        &t,
+    )
+}
+
 fn fig15() -> Vec<SweepSpec> {
     vec![SweepSpec::new("fig15")
         .with_workloads(suite(Suite::Ligra))
         .with_prefetchers(&["pythia", "pythia_strict"])
         .with_config(point("base", Budget::Sweep))]
+}
+
+/// Fig. 15: strict vs basic Pythia per Ligra workload.
+fn fig15_tables(r: &SweepResult) -> String {
+    let speedup = |unit: &str, p: &str| r.cell(unit, p, "base").expect("cell").metrics.speedup;
+    let mut t = Table::new(&[
+        "workload",
+        "basic pythia",
+        "strict pythia",
+        "strict vs basic",
+    ]);
+    for b in &r.baselines {
+        t.row(&gain_row(
+            b.unit.clone(),
+            speedup(&b.unit, "pythia"),
+            speedup(&b.unit, "pythia_strict"),
+        ));
+    }
+    let geo = r.aggregate(Key::Prefetcher, Value::Speedup);
+    t.row(&gain_row("GEOMEAN".into(), geo[0].1, geo[1].1));
+    section("Fig. 15 — basic vs strict Pythia on the Ligra suite", &t)
 }
 
 fn fig16() -> Vec<SweepSpec> {
@@ -340,11 +556,69 @@ fn fig16() -> Vec<SweepSpec> {
     vec![spec]
 }
 
+/// Fig. 16: per workload, the best candidate feature vector against basic
+/// Pythia.
+fn fig16_tables(r: &SweepResult) -> String {
+    let mut t = Table::new(&["workload", "basic", "feature-optimized", "gain"]);
+    let mut basics = Vec::new();
+    let mut opts = Vec::new();
+    for b in &r.baselines {
+        let unit = &b.unit;
+        let basic = r
+            .cell(unit, "pythia", "base")
+            .expect("cell")
+            .metrics
+            .speedup;
+        let best = r
+            .cells
+            .iter()
+            .filter(|c| &c.unit == unit && c.prefetcher.starts_with("feat:"))
+            .map(|c| c.metrics.speedup)
+            .fold(f64::MIN, f64::max);
+        basics.push(basic);
+        opts.push(best);
+        t.row(&gain_row(unit.clone(), basic, best));
+    }
+    t.row(&gain_row(
+        "GEOMEAN".into(),
+        geomean(&basics),
+        geomean(&opts),
+    ));
+    section("Fig. 16 — basic vs feature-optimized Pythia on SPEC06", &t)
+}
+
 fn fig17() -> Vec<SweepSpec> {
     vec![SweepSpec::new("fig17")
         .with_workloads(all_suites())
         .with_prefetchers(&HEADLINE_PREFETCHERS)
         .with_config(point("base", Budget::Sweep))]
+}
+
+/// Figs. 17/18: per-workload speedups sorted by Pythia's (the s-curve).
+fn fig17_tables(r: &SweepResult) -> String {
+    let mut rows: Vec<(String, Vec<f64>)> = r
+        .baselines
+        .iter()
+        .map(|b| {
+            let speeds: Vec<f64> = HEADLINE_PREFETCHERS
+                .iter()
+                .map(|p| r.cell(&b.unit, p, "base").expect("cell").metrics.speedup)
+                .collect();
+            (b.unit.clone(), speeds)
+        })
+        .collect();
+    rows.sort_by(|a, b| a.1[3].total_cmp(&b.1[3]));
+    let mut t = Table::new(&["workload", "spp", "bingo", "mlop", "pythia"]);
+    for (name, speeds) in &rows {
+        let mut row = vec![name.clone()];
+        row.extend(speeds.iter().map(|s| format!("{s:.3}")));
+        t.row(&row);
+    }
+    let above = rows.iter().filter(|(_, s)| s[3] > 1.0).count();
+    section(
+        "Fig. 17 — single-core s-curve (sorted by Pythia speedup)",
+        &t,
+    ) + &format!("Pythia speeds up {above}/{} workloads\n", rows.len())
 }
 
 /// The five-workload cross-section used by the sensitivity studies
@@ -379,6 +653,16 @@ fn fig20() -> Vec<SweepSpec> {
     vec![a, b]
 }
 
+fn fig20_tables(r: &SweepResult) -> String {
+    section(
+        "Fig. 20(a) — sensitivity to exploration rate ε",
+        &geomean_table(&panel(r, "fig20a"), "epsilon"),
+    ) + &section(
+        "Fig. 20(b) — sensitivity to learning rate α",
+        &geomean_table(&panel(r, "fig20b"), "alpha"),
+    )
+}
+
 fn fig21() -> Vec<SweepSpec> {
     vec![SweepSpec::new("fig21")
         .with_suites(&FIVE_SUITES)
@@ -386,11 +670,22 @@ fn fig21() -> Vec<SweepSpec> {
         .with_config(point("base", Budget::Sweep))]
 }
 
+fn fig21_tables(r: &SweepResult) -> String {
+    section("Fig. 21 — Pythia vs CP-HW (single-core)", &per_suite(r))
+}
+
 fn fig22() -> Vec<SweepSpec> {
     vec![SweepSpec::new("fig22")
         .with_suites(&FIVE_SUITES)
         .with_prefetchers(&["power7", "pythia"])
         .with_config(point("base", Budget::Sweep))]
+}
+
+fn fig22_tables(r: &SweepResult) -> String {
+    section(
+        "Fig. 22 — Pythia vs POWER7-adaptive (single-core)",
+        &per_suite(r),
+    )
 }
 
 fn fig23() -> Vec<SweepSpec> {
@@ -402,6 +697,13 @@ fn fig23() -> Vec<SweepSpec> {
                 .iter()
                 .map(|&warmup| ConfigPoint::single_core(&warmup.to_string(), warmup, 400_000)),
         )]
+}
+
+fn fig23_tables(r: &SweepResult) -> String {
+    section(
+        "Fig. 23 — sensitivity to warmup instructions",
+        &per_config(r),
+    )
 }
 
 /// The four-workload cross-section the §4.3 DSE screens against.
@@ -428,6 +730,14 @@ fn tab02() -> Vec<SweepSpec> {
         spec = spec.with_pythia_variant(&hyper_label(&p), cfg);
     }
     vec![spec]
+}
+
+/// The §4.3.3 screening scores (the search itself is `tab02_dse`).
+fn tab02_tables(r: &SweepResult) -> String {
+    section(
+        "Table 2 — §4.3.3 hyperparameter screening",
+        &geomean_table(r, "grid point"),
+    )
 }
 
 fn ablation() -> Vec<SweepSpec> {
@@ -478,6 +788,13 @@ fn ablation() -> Vec<SweepSpec> {
     spec = spec.with_pythia_variant("EQ of 1024 entries", c);
 
     vec![spec]
+}
+
+fn ablation_tables(r: &SweepResult) -> String {
+    section(
+        "Ablations of Pythia design choices",
+        &geomean_table(r, "variant"),
+    )
 }
 
 /// One [`WorkUnit`] per workload of a robustness profile, grouped under
@@ -574,6 +891,18 @@ fn robust03() -> Vec<SweepSpec> {
         )]
 }
 
+/// The `robust01`–`robust03` scoreboard: per-group deltas against the
+/// first (reference) group.
+fn robust_tables(r: &SweepResult) -> String {
+    match r.distinct(Key::Group).first() {
+        Some(reference) => format!(
+            "## Robustness vs `{reference}` (Δ of per-group geomeans)\n\n{}",
+            r.robustness(reference).to_markdown()
+        ),
+        None => String::new(),
+    }
+}
+
 /// A registered figure: an id, a title, and the campaign(s) behind it.
 pub struct FigureDef {
     /// Registry id (`"fig09"`, `"tab02"`, ...).
@@ -582,6 +911,8 @@ pub struct FigureDef {
     pub title: &'static str,
     /// Builds the figure's sweep specs (panels).
     pub build: fn() -> Vec<SweepSpec>,
+    /// Renders the paper's tables from the merged campaign result.
+    pub tables: fn(&SweepResult) -> String,
 }
 
 /// Every registered figure/table campaign.
@@ -591,126 +922,151 @@ pub fn registry() -> Vec<FigureDef> {
             id: "fig01",
             title: "Motivational coverage/overprediction/performance",
             build: fig01,
+            tables: fig01_tables,
         },
         FigureDef {
             id: "fig07",
             title: "Coverage and overprediction per suite (single-core)",
             build: fig07,
+            tables: fig07_tables,
         },
         FigureDef {
             id: "fig08a",
             title: "Speedup vs core count",
             build: fig08a,
+            tables: fig08a_tables,
         },
         FigureDef {
             id: "fig08b",
             title: "Speedup vs DRAM MTPS (single core)",
             build: fig08b,
+            tables: fig08b_tables,
         },
         FigureDef {
             id: "fig08c",
             title: "Speedup vs LLC size (single core)",
             build: fig08c,
+            tables: fig08c_tables,
         },
         FigureDef {
             id: "fig08d",
             title: "Multi-level prefetching vs DRAM MTPS",
             build: fig08d,
+            tables: fig08d_tables,
         },
         FigureDef {
             id: "fig09",
             title: "Single-core performance (per-suite + combination ladder)",
             build: fig09,
+            tables: fig09_tables,
         },
         FigureDef {
             id: "fig10",
             title: "Four-core performance (per-suite + combination ladder)",
             build: fig10,
+            tables: fig10_tables,
         },
         FigureDef {
             id: "fig11",
             title: "Bandwidth-oblivious Pythia vs basic Pythia",
             build: fig11,
+            tables: fig11_tables,
         },
         FigureDef {
             id: "fig12",
             title: "Performance on unseen traces (single- and four-core)",
             build: fig12,
+            tables: fig12_tables,
         },
         FigureDef {
             id: "fig14",
             title: "Ligra-CC bandwidth-bucket residency and performance",
             build: fig14,
+            tables: fig14_tables,
         },
         FigureDef {
             id: "fig15",
             title: "Basic vs strict Pythia on the Ligra suite",
             build: fig15,
+            tables: fig15_tables,
         },
         FigureDef {
             id: "fig16",
             title: "Basic vs feature-optimized Pythia on SPEC06",
             build: fig16,
+            tables: fig16_tables,
         },
         FigureDef {
             id: "fig17",
             title: "Single-core s-curves",
             build: fig17,
+            tables: fig17_tables,
         },
         FigureDef {
             id: "fig20",
             title: "Sensitivity to exploration and learning rates",
             build: fig20,
+            tables: fig20_tables,
         },
         FigureDef {
             id: "fig21",
             title: "Pythia vs CP-HW (single-core)",
             build: fig21,
+            tables: fig21_tables,
         },
         FigureDef {
             id: "fig22",
             title: "Pythia vs POWER7-adaptive (single-core)",
             build: fig22,
+            tables: fig22_tables,
         },
         FigureDef {
             id: "fig23",
             title: "Sensitivity to warmup instructions",
             build: fig23,
+            tables: fig23_tables,
         },
         FigureDef {
             id: "tab02",
             title: "Hyperparameter screening grid (§4.3.3)",
             build: tab02,
+            tables: tab02_tables,
         },
         FigureDef {
             id: "ablation",
             title: "Ablations of Pythia design choices",
             build: ablation,
+            tables: ablation_tables,
         },
         FigureDef {
             id: "robust01",
             title: "Robustness of every registry prefetcher across trace profiles",
             build: robust01,
+            tables: robust_tables,
         },
         FigureDef {
             id: "robust02",
             title: "Phase agility: steady vs phased pattern mixes",
             build: robust02,
+            tables: robust_tables,
         },
         FigureDef {
             id: "robust03",
             title: "Adversarial robustness under bandwidth pressure",
             build: robust03,
+            tables: robust_tables,
         },
     ]
 }
 
+/// Looks up one registered figure.
+pub fn figure(id: &str) -> Option<FigureDef> {
+    registry().into_iter().find(|f| f.id == id)
+}
+
 /// Builds the sweep specs of one registered figure.
 pub fn specs(id: &str) -> Option<Vec<SweepSpec>> {
-    registry()
-        .into_iter()
-        .find(|f| f.id == id)
-        .map(|f| (f.build)())
+    figure(id).map(|f| (f.build)())
 }
 
 /// Builds one registered figure as a content-addressable

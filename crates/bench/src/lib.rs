@@ -1,10 +1,12 @@
 //! # pythia-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper (see
-//! `src/bin/`), plus Criterion microbenchmarks (`benches/`). Each binary
-//! declares its grid as a [`pythia_sweep::SweepSpec`] (via [`figures`]),
-//! runs it across the shared worker pool, and prints the same rows/series
-//! the paper reports, computed on the synthetic workload suites.
+//! The experiment harness. [`figures`] registers every table/figure grid
+//! of the paper as a [`pythia_sweep::SweepSpec`] campaign together with
+//! the paper tables rendered from its result; `pythia-cli sweep <id>`
+//! runs a figure across the shared worker pool and prints those tables,
+//! computed on the synthetic workload suites. Two binaries remain for
+//! the evaluations that are not a grid: `fig13_qvalue_case_study` probes
+//! the agent directly, and `tab02_dse` runs the §4.3 search procedures.
 //!
 //! Instruction budgets are scaled-down from the paper's 100 M + 500 M
 //! (synthetic patterns reach steady state much sooner); set
@@ -12,11 +14,9 @@
 //! budget, e.g. `PYTHIA_BENCH_SCALE=0.2` for a quick pass or `4` for a
 //! long one. Invalid values are reported on stderr and ignored.
 //!
-//! Harness binaries fan out over `PYTHIA_BENCH_THREADS` worker threads
-//! (default: all available cores); machine-readable output comes from
-//! `pythia-cli sweep <figure> --format {md,json,csv}`.
-
-use pythia::runner::RunSpec;
+//! Campaigns fan out over `PYTHIA_BENCH_THREADS` worker threads
+//! (default: all available cores) unless `pythia-cli sweep --threads`
+//! says otherwise; `--format {md,json,csv}` picks the output.
 
 pub mod figures;
 
@@ -73,12 +73,6 @@ pub fn budget(kind: Budget) -> (u64, u64) {
         ((w as f64 * scale) as u64).max(1_000),
         ((m as f64 * scale) as u64).max(4_000),
     )
-}
-
-/// A single-core [`RunSpec`] with the given budget class.
-pub fn spec(kind: Budget) -> RunSpec {
-    let (w, m) = budget(kind);
-    RunSpec::single_core().with_budget(w, m)
 }
 
 /// Worker thread count for harness fan-out: `PYTHIA_BENCH_THREADS` if set

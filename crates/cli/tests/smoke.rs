@@ -104,6 +104,14 @@ fn run_rejects_unknown_workload_and_prefetcher() {
 }
 
 #[test]
+fn run_rejects_an_unbuildable_system() {
+    let out = cli(&[&["run", WORKLOAD, "stride", "--llc-kb", "0"], FAST].concat());
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("error:") && err.contains("llc"), "{err}");
+}
+
+#[test]
 fn run_rejects_malformed_numeric_options() {
     let out = cli(&["run", WORKLOAD, "spp", "--measure", "not-a-number"]);
     assert!(!out.status.success());
@@ -560,7 +568,14 @@ fn storage_prints_overhead_tables() {
     let out = cli(&["storage"]);
     assert!(out.status.success());
     let text = stdout(&out);
-    assert!(text.contains("Pythia metadata"));
+    for heading in [
+        "# Table 4",
+        "# Table 7",
+        "# Table 8",
+        "pipelined QVStore search",
+    ] {
+        assert!(text.contains(heading), "missing {heading}");
+    }
     assert!(text.contains("mm^2"));
     assert!(text.contains("| prefetcher |"));
 }

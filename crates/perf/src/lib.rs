@@ -26,7 +26,7 @@ pub mod sections;
 
 use std::hint::black_box;
 
-use pythia::runner::{run_workload, RunSpec};
+use pythia::runner::{build_prefetcher, run_workload, RunSpec};
 use pythia_core::eq::{EqEntry, EvaluationQueue};
 use pythia_core::{FeatureContext, Pythia, PythiaConfig, QvStore};
 use pythia_sim::cache::{AccessKind, Cache, Lookup, MshrFile};
@@ -128,6 +128,30 @@ pub fn registry() -> Vec<BenchDef> {
                             out.clear();
                             agent.on_demand_into(&a, &fb, &mut out);
                             black_box(out.len());
+                        }
+                    }),
+                )
+            },
+        },
+        BenchDef {
+            // Per-demand cost of each prefetcher on the same access stream
+            // (the software analogue of the §4.2.2 latency discussion).
+            name: "prefetcher_on_demand",
+            unit: "ops",
+            build: |scale| {
+                const NAMES: [&str; 8] = [
+                    "stride", "streamer", "spp", "bingo", "mlop", "dspatch", "ipcp", "pythia",
+                ];
+                let n = scaled(50_000, scale);
+                (
+                    (n * NAMES.len()) as u64,
+                    Box::new(move || {
+                        let fb = SystemFeedback::idle();
+                        for name in NAMES {
+                            let mut p = build_prefetcher(name, 1).expect("registered prefetcher");
+                            for a in fixtures::demand_stream(n) {
+                                black_box(p.on_demand(&a, &fb));
+                            }
                         }
                     }),
                 )

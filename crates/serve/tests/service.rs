@@ -207,6 +207,37 @@ fn full_queue_answers_429_and_result_races_answer_409() {
 }
 
 #[test]
+fn unbuildable_system_is_rejected_with_400_and_the_worker_lives_on() {
+    let (_handle, addr) = spawn(ServeConfig {
+        workers: 1,
+        queue_cap: 8,
+        sim_threads: 1,
+        ..ServeConfig::default()
+    });
+
+    // `"mtps": 0` would divide by zero inside a worker; it must bounce at
+    // submission instead.
+    let mut dead_bus = tiny_spec("svc-dead-bus", 4_000);
+    dead_bus.configs[0].system.dram.mtps = 0;
+    let body = Json::obj()
+        .set("spec", pythia_sweep::codec::spec_json(&dead_bus))
+        .render();
+    assert!(body.contains("\"mtps\":0"), "{body}");
+    let err = client::submit(&addr, &body).expect_err("mtps 0 rejected");
+    assert!(err.contains("400"), "{err}");
+
+    // The single worker is still there to run the next valid campaign.
+    let ok = submit_spec(&addr, &tiny_spec("svc-after-dead-bus", 4_000));
+    client::wait_done(
+        &addr,
+        &ok.digest,
+        Duration::from_millis(20),
+        Duration::from_secs(120),
+    )
+    .expect("valid campaign completes");
+}
+
+#[test]
 fn disk_cache_survives_service_restarts() {
     let cache_dir = std::env::temp_dir().join(format!(
         "pythia-serve-restart-{}-{:?}",

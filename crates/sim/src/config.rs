@@ -228,6 +228,48 @@ impl SystemConfig {
         cfg.llc.size_bytes = bytes;
         cfg
     }
+
+    /// Rejects configurations the simulator cannot build: zero cores, a
+    /// cache level with zero sets or with ways outside `1..=64`, and DRAM
+    /// with zero MTPS or an empty channel/rank/bank/bus/row geometry
+    /// (each divides by zero or trips an assert inside a worker).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first problem.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cores == 0 {
+            return Err("system has 0 cores".into());
+        }
+        for (name, c) in [("l1d", &self.l1d), ("l2", &self.l2), ("llc", &self.llc)] {
+            if !(1..=64).contains(&c.ways) {
+                return Err(format!("{name}: ways must be in 1..=64, got {}", c.ways));
+            }
+            if c.sets() == 0 {
+                return Err(format!(
+                    "{name}: {} bytes at {} ways leaves no sets",
+                    c.size_bytes, c.ways
+                ));
+            }
+        }
+        let d = &self.dram;
+        if d.mtps == 0 {
+            return Err("dram: mtps must be positive".into());
+        }
+        if d.channels == 0
+            || d.ranks_per_channel == 0
+            || d.banks_per_rank == 0
+            || d.bus_bytes == 0
+            || d.row_buffer_bytes < crate::LINE_SIZE
+        {
+            return Err(
+                "dram: channels, ranks, banks and bus width must be positive, \
+                 and a row must hold a cacheline"
+                    .into(),
+            );
+        }
+        Ok(())
+    }
 }
 
 impl Default for SystemConfig {
@@ -279,6 +321,24 @@ mod tests {
     #[should_panic(expected = "1-12 cores")]
     fn zero_cores_rejected() {
         let _ = SystemConfig::with_cores(0);
+    }
+
+    #[test]
+    fn validate_rejects_unbuildable_systems() {
+        assert_eq!(SystemConfig::with_cores(4).validate(), Ok(()));
+        let broken: [fn(&mut SystemConfig); 6] = [
+            |c| c.cores = 0,
+            |c| c.dram.mtps = 0,
+            |c| c.llc.size_bytes = 0,
+            |c| c.l1d.ways = 0,
+            |c| c.l2.ways = 65,
+            |c| c.dram.channels = 0,
+        ];
+        for (i, breakage) in broken.iter().enumerate() {
+            let mut cfg = SystemConfig::single_core();
+            breakage(&mut cfg);
+            assert!(cfg.validate().is_err(), "case {i} must be rejected");
+        }
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! Grid expansion and parallel execution.
 //!
+//! There is one expansion ([`plan_campaign`]), one row assembly
+//! ([`CampaignPlan`]'s merge) and one executor behind [`run`],
+//! [`run_cached`] and [`run_all`]; `pythia-serve` schedules the same
+//! planned [`CellJob`]s cell by cell.
+//!
 //! Jobs carry *lazy* trace-source factories: a job closure owns only the
 //! (cheap) workload specs and opens streaming [`TraceSource`]s inside the
 //! worker, so neither the queue nor any worker ever holds a materialized
@@ -15,14 +20,13 @@ use crate::spec::{ConfigPoint, PrefetcherKind, SweepSpec, WorkUnit};
 
 /// Memoizes baseline simulations across campaigns.
 ///
-/// Two places re-run identical baselines otherwise: multi-panel figures
-/// whose panels share units and configs (e.g. Fig. 9's per-suite and
-/// ladder panels both cover the Table 6 pool), and the §4.3 DSE
-/// procedures, which call the engine once per objective evaluation with
-/// the same workload cross-section every time. Keys cover everything that
-/// determines a baseline run — workload specs, system config, budgets,
-/// seed offset and the baseline prefetcher — so a hit is bit-identical to
-/// a fresh simulation (simulations are deterministic).
+/// Within one campaign [`plan_campaign`] already shares baselines between
+/// panels; across campaigns the §4.3 DSE procedures call the engine once
+/// per objective evaluation with the same workload cross-section every
+/// time, and [`run_cached`] serves those repeats from here. Keys cover
+/// everything that determines a baseline run — workload specs, system
+/// config, budgets, seed offset and the baseline prefetcher — so a hit is
+/// bit-identical to a fresh simulation (simulations are deterministic).
 #[derive(Debug, Default)]
 pub struct BaselineCache {
     map: std::collections::HashMap<String, SimReport>,
@@ -78,7 +82,7 @@ fn simulate(unit: &WorkUnit, kind: &PrefetcherKind, config: &ConfigPoint, seed: 
 }
 
 /// Executes a sweep across `threads` worker threads and returns its typed
-/// result.
+/// result: the single-panel campaign `run_all(&spec.name, [spec])`.
 ///
 /// Every simulation in the grid — baselines included — is an independent
 /// job on the shared [`run_parallel`] pool; results come back in grid order
@@ -90,7 +94,7 @@ fn simulate(unit: &WorkUnit, kind: &PrefetcherKind, config: &ConfigPoint, seed: 
 /// Returns the first [`SweepSpec::validate`] error; never fails after
 /// validation passes.
 pub fn run(spec: &SweepSpec, threads: usize) -> Result<SweepResult, String> {
-    run_cached(spec, threads, &mut BaselineCache::new())
+    run_all(&spec.name, std::slice::from_ref(spec), threads)
 }
 
 /// [`run`] with a [`BaselineCache`]: baseline coordinates already in the
@@ -106,143 +110,79 @@ pub fn run_cached(
     threads: usize,
     cache: &mut BaselineCache,
 ) -> Result<SweepResult, String> {
-    spec.validate()?;
-    let threads = threads.max(1);
-
-    // Expand the grid. Uncached baseline jobs first (one per unit × config
-    // × seed), then every measured cell, all in one batch so baselines
-    // don't serialize ahead of the cells.
-    let mut baseline_keys: Vec<String> = Vec::new();
-    let mut jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = Vec::new();
-    // Simulated instructions scheduled this run (freshly executed jobs
-    // only — cache hits cost no wall time), for the throughput telemetry.
-    let mut planned_instructions = 0u64;
-    for u in &spec.units {
-        for cp in &spec.configs {
-            for &seed in &spec.seeds {
-                let key = BaselineCache::key(u, &spec.baseline.kind, cp, seed);
-                if !cache.map.contains_key(&key) && !baseline_keys.contains(&key) {
-                    let (u, k, cp) = (u.clone(), spec.baseline.kind.clone(), cp.clone());
-                    planned_instructions += (cp.warmup + cp.measure) * u.cores() as u64;
-                    jobs.push(Box::new(move || simulate(&u, &k, &cp, seed)));
-                    baseline_keys.push(key.clone());
-                }
-            }
-        }
-    }
-    for u in &spec.units {
-        for cp in &spec.configs {
-            for p in &spec.prefetchers {
-                for &seed in &spec.seeds {
-                    let (u, k, cp) = (u.clone(), p.kind.clone(), cp.clone());
-                    planned_instructions += (cp.warmup + cp.measure) * u.cores() as u64;
-                    jobs.push(Box::new(move || simulate(&u, &k, &cp, seed)));
-                }
-            }
-        }
-    }
-
-    let started = std::time::Instant::now();
-    let mut reports = run_parallel(jobs, threads).into_iter();
-    let throughput = Throughput::new(planned_instructions, started.elapsed().as_secs_f64());
-    for (key, report) in baseline_keys.into_iter().zip(reports.by_ref()) {
-        cache.map.insert(key, report);
-    }
-    let baseline_reports: Vec<SimReport> = {
-        let mut out = Vec::new();
-        for u in &spec.units {
-            for cp in &spec.configs {
-                for &seed in &spec.seeds {
-                    let key = BaselineCache::key(u, &spec.baseline.kind, cp, seed);
-                    out.push(cache.map[&key].clone());
-                }
-            }
-        }
-        out
-    };
-
-    // Index baselines in the same (unit, config, seed) expansion order.
-    let baseline_index =
-        |ui: usize, ci: usize, si: usize| (ui * spec.configs.len() + ci) * spec.seeds.len() + si;
-
-    let mut baselines = Vec::with_capacity(baseline_reports.len());
-    for (ui, u) in spec.units.iter().enumerate() {
-        for (ci, cp) in spec.configs.iter().enumerate() {
-            for (si, &seed) in spec.seeds.iter().enumerate() {
-                let report = &baseline_reports[baseline_index(ui, ci, si)];
-                baselines.push(CellResult {
-                    sweep: spec.name.clone(),
-                    unit: u.label.clone(),
-                    group: u.group.clone(),
-                    prefetcher: spec.baseline.label.clone(),
-                    config: cp.label.clone(),
-                    seed,
-                    metrics: metrics::compare(report, report),
-                    raw: RawSummary::of(report),
-                });
-            }
-        }
-    }
-
-    let mut cells = Vec::with_capacity(spec.cell_count());
-    for (ui, u) in spec.units.iter().enumerate() {
-        for (ci, cp) in spec.configs.iter().enumerate() {
-            for p in &spec.prefetchers {
-                for (si, &seed) in spec.seeds.iter().enumerate() {
-                    let report = reports.next().expect("one report per cell job");
-                    let baseline = &baseline_reports[baseline_index(ui, ci, si)];
-                    cells.push(CellResult {
-                        sweep: spec.name.clone(),
-                        unit: u.label.clone(),
-                        group: u.group.clone(),
-                        prefetcher: p.label.clone(),
-                        config: cp.label.clone(),
-                        seed,
-                        metrics: metrics::compare(baseline, &report),
-                        raw: RawSummary::of(&report),
-                    });
-                }
-            }
-        }
-    }
-
-    Ok(SweepResult {
-        name: spec.name.clone(),
-        baselines,
-        cells,
-        throughput: Some(throughput),
-    })
+    execute(
+        &plan_campaign(&spec.name, std::slice::from_ref(spec))?,
+        threads,
+        cache,
+    )
 }
 
 /// Runs several sweeps (e.g. the panels of one figure) and merges them
 /// under `name`.
 ///
-/// Built on [`plan_campaign`]: the whole campaign — every panel's
-/// baselines and cells — fans out over `threads` workers as one batch of
+/// The whole campaign — every panel's baselines and cells, as planned by
+/// [`plan_campaign`] — fans out over `threads` workers as one batch of
 /// independent cell jobs, and [`CampaignPlan::merge_cells`] reassembles
 /// the result in grid order. Panels with overlapping (units × configs ×
-/// seeds) share baseline jobs — Fig. 9's two panels cover the same
-/// 50-workload pool, for example — exactly as the shared
-/// [`BaselineCache`] deduplicated them before.
+/// seeds) share baseline jobs: Fig. 9's two panels cover the same
+/// 50-workload pool, for example.
 ///
 /// # Errors
 ///
 /// Returns the first validation error among the specs.
 pub fn run_all(name: &str, specs: &[SweepSpec], threads: usize) -> Result<SweepResult, String> {
-    let plan = plan_campaign(name, specs)?;
-    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = plan
-        .jobs()
+    execute(
+        &plan_campaign(name, specs)?,
+        threads,
+        &mut BaselineCache::new(),
+    )
+}
+
+/// The one executor behind [`run`], [`run_cached`] and [`run_all`]:
+/// serves baseline jobs found in `cache`, runs every other job of the
+/// plan on the [`run_parallel`] pool, records the fresh baselines in
+/// `cache`, and merges the reports. The throughput telemetry counts the
+/// executed jobs only (cache hits cost no wall time).
+fn execute(
+    plan: &CampaignPlan,
+    threads: usize,
+    cache: &mut BaselineCache,
+) -> Result<SweepResult, String> {
+    let mut slots: Vec<Option<SimReport>> = plan
+        .jobs
         .iter()
         .map(|j| {
-            let j = j.clone();
+            j.baseline_key
+                .as_ref()
+                .and_then(|k| cache.map.get(k).cloned())
+        })
+        .collect();
+    let pending: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
+    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = pending
+        .iter()
+        .map(|&i| {
+            let j = plan.jobs[i].clone();
             Box::new(move || j.run()) as Box<dyn FnOnce() -> SimReport + Send>
         })
         .collect();
+    let instructions = pending.iter().map(|&i| plan.jobs[i].instructions).sum();
     let started = std::time::Instant::now();
     let reports = run_parallel(jobs, threads.max(1));
-    let throughput = Throughput::new(plan.planned_instructions(), started.elapsed().as_secs_f64());
+    let throughput = Throughput::new(instructions, started.elapsed().as_secs_f64());
+    for (i, report) in pending.into_iter().zip(reports) {
+        slots[i] = Some(report);
+    }
+    let reports: Vec<SimReport> = slots
+        .into_iter()
+        .map(|s| s.expect("every job is cached or executed"))
+        .collect();
     let mut out = plan.merge_cells(&reports)?;
     out.throughput = Some(throughput);
+    for (job, report) in plan.jobs.iter().zip(reports) {
+        if let Some(key) = &job.baseline_key {
+            cache.map.entry(key.clone()).or_insert(report);
+        }
+    }
     Ok(out)
 }
 
@@ -277,6 +217,9 @@ pub struct CellJob {
     kind: PrefetcherKind,
     config: ConfigPoint,
     seed: u64,
+    /// The [`BaselineCache`] key of a baseline job (`None` for a measured
+    /// cell), so the executor can serve the job from the cache.
+    baseline_key: Option<String>,
 }
 
 impl CellJob {
@@ -303,12 +246,12 @@ struct PanelPlan {
 
 /// A campaign expanded into an ordered set of independent [`CellJob`]s
 /// plus the bookkeeping to reassemble their reports into a
-/// [`SweepResult`] byte-identical to the monolithic [`run_all`].
+/// [`SweepResult`] byte-identical to [`run_all`]'s.
 ///
 /// The flat job order is panel-major with each panel's baselines planned
 /// before its cells, and baselines deduplicated across panels (first
 /// panel wins), so a job's baseline always precedes it. Executing the
-/// jobs in *any* order and merging is equivalent to the monolithic run.
+/// jobs in *any* order and merging is equivalent to [`run_all`].
 #[derive(Debug)]
 pub struct CampaignPlan {
     name: String,
@@ -316,11 +259,11 @@ pub struct CampaignPlan {
     panels: Vec<PanelPlan>,
 }
 
-/// Expands a campaign (panels of one figure) into a [`CampaignPlan`].
+/// Expands a campaign (panels of one figure) into a [`CampaignPlan`] —
+/// the engine's one grid expansion.
 ///
-/// The expansion mirrors [`run_all`] exactly: per panel in order,
-/// baseline jobs first (one per unit × config × seed coordinate not
-/// already planned — the shared-[`BaselineCache`] dedup), then every
+/// Per panel in order: baseline jobs first (one per unit × config × seed
+/// coordinate not already planned by an earlier panel), then every
 /// measured cell in grid order (unit-major, then config, then
 /// prefetcher, then seed).
 ///
@@ -341,7 +284,7 @@ pub fn plan_campaign(name: &str, specs: &[SweepSpec]) -> Result<CampaignPlan, St
             for cp in &spec.configs {
                 for &seed in &spec.seeds {
                     let key = BaselineCache::key(u, &spec.baseline.kind, cp, seed);
-                    let source = *planned_baselines.entry(key).or_insert_with(|| {
+                    let source = *planned_baselines.entry(key.clone()).or_insert_with(|| {
                         let flat = jobs.len();
                         jobs.push(CellJob {
                             id: CellId {
@@ -353,6 +296,7 @@ pub fn plan_campaign(name: &str, specs: &[SweepSpec]) -> Result<CampaignPlan, St
                             kind: spec.baseline.kind.clone(),
                             config: cp.clone(),
                             seed,
+                            baseline_key: Some(key),
                         });
                         within += 1;
                         flat
@@ -376,6 +320,7 @@ pub fn plan_campaign(name: &str, specs: &[SweepSpec]) -> Result<CampaignPlan, St
                             kind: p.kind.clone(),
                             config: cp.clone(),
                             seed,
+                            baseline_key: None,
                         });
                         within += 1;
                     }
@@ -418,7 +363,7 @@ impl CampaignPlan {
 
     /// Reassembles a complete set of cell reports — `reports[i]` from
     /// `jobs()[i]`, executed in any order, by any worker — into the
-    /// [`SweepResult`] a monolithic [`run_all`] would produce, minus the
+    /// [`SweepResult`] [`run_all`] produces, minus the
     /// wall-clock telemetry (i.e. byte-identical to its
     /// [`SweepResult::stripped`] form).
     ///

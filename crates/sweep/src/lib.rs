@@ -1,13 +1,12 @@
 //! # pythia-sweep
 //!
 //! The declarative experiment-campaign engine behind every figure/table
-//! harness of the Pythia reproduction.
+//! of the Pythia reproduction.
 //!
 //! The paper's evaluation is ~20 figures and tables, each a grid of
 //! *(workloads × prefetchers × system configurations × seeds)* simulations
 //! followed by an aggregation (geomeans per suite, pivots per bandwidth
-//! point, ...). Instead of 22 hand-rolled serial loops, a harness describes
-//! its grid once as a [`SweepSpec`]:
+//! point, ...). Each figure describes its grid once as a [`SweepSpec`]:
 //!
 //! * [`WorkUnit`] — a single workload or an `n`-core mix,
 //! * [`PrefetcherSpec`] — a registry prefetcher name or an inline
@@ -16,8 +15,9 @@
 //!   budgets (the swept axis of the Fig. 8 sensitivity studies),
 //! * a baseline prefetcher every cell is compared against (Appendix A.6).
 //!
-//! [`run`] expands the grid into independent simulation jobs, executes them
-//! across the [`pythia::runner::run_parallel`] worker pool — the in-process
+//! [`run`] expands the grid into independent simulation jobs
+//! ([`plan_campaign`]), executes them across the
+//! [`pythia::runner::run_parallel`] worker pool — the in-process
 //! stand-in for the paper's slurm fan-out (§A.5) — and returns a
 //! [`SweepResult`]: one typed [`CellResult`] per grid cell, in a
 //! deterministic grid order that is **independent of the worker thread

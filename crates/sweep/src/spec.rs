@@ -251,9 +251,11 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first problem: an empty axis, a core
-    /// count mismatch between a unit and a config, an unresolvable
-    /// prefetcher name, or a duplicated prefetcher label.
+    /// Returns a description of the first problem: an empty axis, a
+    /// system the simulator cannot build ([`SystemConfig::validate`]), a
+    /// zero measure budget, a core count mismatch between a unit and a
+    /// config, an unresolvable prefetcher name, or a duplicated prefetcher
+    /// label.
     pub fn validate(&self) -> Result<(), String> {
         if self.units.is_empty() {
             return Err(format!("sweep {:?}: no work units", self.name));
@@ -268,6 +270,15 @@ impl SweepSpec {
             return Err(format!("sweep {:?}: no seeds", self.name));
         }
         for cp in &self.configs {
+            cp.system
+                .validate()
+                .map_err(|e| format!("sweep {:?}: config {:?}: {e}", self.name, cp.label))?;
+            if cp.measure == 0 {
+                return Err(format!(
+                    "sweep {:?}: config {:?} measures 0 instructions",
+                    self.name, cp.label
+                ));
+            }
             for u in &self.units {
                 if u.cores() != cp.system.cores {
                     return Err(format!(
@@ -354,6 +365,29 @@ mod tests {
             .with_config(ConfigPoint::single_core("base", 1_000, 4_000));
         let err = spec.validate().unwrap_err();
         assert!(err.contains("4 workload(s)"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_unbuildable_configs() {
+        let spec = |cp: ConfigPoint| {
+            SweepSpec::new("t")
+                .with_workloads([one_workload()])
+                .with_prefetchers(&["stride"])
+                .with_config(cp)
+        };
+        let err = spec(ConfigPoint::new(
+            "dead bus",
+            SystemConfig::single_core_with_mtps(0),
+            1_000,
+            4_000,
+        ))
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("mtps"), "{err}");
+        let err = spec(ConfigPoint::single_core("empty", 1_000, 0))
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("measures 0"), "{err}");
     }
 
     #[test]

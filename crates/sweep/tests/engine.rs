@@ -274,6 +274,16 @@ fn baseline_cache_reuses_reports_without_changing_results() {
 }
 
 #[test]
+fn run_is_the_single_panel_campaign() {
+    let spec = small_spec();
+    let single = pythia_sweep::run(&spec, 2).expect("run").stripped();
+    let campaign = pythia_sweep::engine::run_all(&spec.name, std::slice::from_ref(&spec), 2)
+        .expect("run_all")
+        .stripped();
+    assert_eq!(single.to_json().render(), campaign.to_json().render());
+}
+
+#[test]
 fn run_all_shares_baselines_across_overlapping_panels() {
     let panel = |name: &str, pf: &str| {
         SweepSpec::new(name)

@@ -97,6 +97,12 @@ fn every_figure_registry_entry_pins_its_report_digest() {
         let specs = (def.build)();
         let result =
             pythia_sweep::engine::run_all(def.id, &specs, THREADS).expect("figure runs clean");
+        let tables = (def.tables)(&result);
+        assert!(
+            tables.lines().any(|l| l.starts_with("| ---")),
+            "{}: paper tables render no markdown table:\n{tables}",
+            def.id
+        );
         let digest = fnv1a(strip_throughput(result.to_json()).render().as_bytes());
         computed.push((def.id, digest));
         match GOLDEN.iter().find(|(id, _)| *id == def.id) {
